@@ -669,7 +669,8 @@ def _render_text(report: dict, indent: str = "") -> str:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     as_json = "--json" in argv
-    code, report = cli_dispatch(argv)
+    # accepted anywhere, not only before the verb where the parser knows it
+    code, report = cli_dispatch([a for a in argv if a != "--json"])
     if as_json:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:

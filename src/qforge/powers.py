@@ -2,13 +2,17 @@
 switching/collapsing adversary probes.
 
 The closure engine mixes two strategies.  Operations of arity <= 2 are swept
-forward with a worklist.  Higher-arity operations are handled by a
-*derivability search* per missing tuple: pick, for every coordinate j, a
-preimage column of the target value t_j, such that the rows assembled from
-those columns are all members of the current set.  Coordinates are processed
-smallest-preimage-first (closure commutes with coordinate permutation) and
-partial rows are pruned against prefix maps of the member set, so a round
-that certifies "nothing new is derivable" is exact without enumerating
+forward semi-naively: members already closed under them are never combined
+again, and each new pair is combined once, when the later of its two members
+leaves the worklist.  Higher-arity operations are first applied to random
+argument rows; once that stalls, each missing tuple gets a *derivability
+search*: pick, for every coordinate j, a preimage column of the target value
+t_j, such that the rows assembled from those columns are all members of the
+current set.  Coordinates are processed smallest-preimage-first (closure
+commutes with coordinate permutation).  The search runs depth-first over a
+trie of the members whose nodes are merged by suffix set, remembers the
+(depth, nodes) states it has seen fail, and stops at the first witness, so a
+round that certifies "nothing new is derivable" is exact without enumerating
 |S|**arity argument combinations.
 """
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetError, ValidationError
@@ -88,9 +93,23 @@ def build_switch_adversary(domain: Domain, m: int, k: int) -> Adversary:
     """All m-tuples with at most k switches."""
     if not 0 <= k:
         raise ValidationError("switch bound must be >= 0")
-    tuples = [
-        t for t in itertools.product(domain.elements(), repeat=m) if switch_count(t) <= k
-    ]
+    # built run by run: choose the switch positions, then a value per run
+    # that differs from the previous run's, instead of filtering size**m tuples
+    tuples = []
+    for s in range(min(k, m - 1) + 1):
+        run_values = [
+            vs
+            for vs in itertools.product(domain.elements(), repeat=s + 1)
+            if all(vs[i] != vs[i + 1] for i in range(s))
+        ]
+        for cuts in itertools.combinations(range(1, m), s):
+            bounds = (0,) + cuts + (m,)
+            lengths = [bounds[i + 1] - bounds[i] for i in range(s + 1)]
+            for vs in run_values:
+                t: tuple = ()
+                for v, n in zip(vs, lengths):
+                    t += (v,) * n
+                tuples.append(t)
     return Adversary(m, frozenset(tuples))
 
 
@@ -127,49 +146,93 @@ def collapse_tuples(domain: Domain, m: int, p: int, sources: Iterable[int]) -> f
 
 
 class _DeriveSearch:
-    """Per-(closure round, op, coordinate permutation) search machinery."""
+    """Per-(closure round, op, coordinate permutation) search machinery.
 
-    def __init__(self, size: int, m: int, members: list, perm: tuple[int, ...]):
-        self.size = size
+    The member rows, read in ``perm`` order, form a trie.  Two trie nodes at
+    the same depth with the same set of suffixes behave identically in any
+    search, so each node is replaced by the id of its suffix class:
+    ``kids[j][c][d]`` is the class reached from class ``c`` at depth ``j``
+    by digit ``d``, or -1 when no member continues that way.
+    """
+
+    def __init__(
+        self, size: int, m: int, members: list, perm: tuple[int, ...], preimages: dict, k: int
+    ):
         self.m = m
         self.perm = perm
-        # children[j]: prefix code of length j -> bitmask of allowed next digits
-        children = [dict() for _ in range(m)]
-        for u in members:
-            code = 0
-            for j in range(m):
-                d = u[perm[j]]
-                mask = children[j].get(code, 0)
-                children[j][code] = mask | (1 << d)
-                code = code * size + d
-        self.children = children
+        self.preimages = preimages
+        self.k = k
+        # every member as one code: its digits in perm order, base size
+        codes = [0] * len(members)
+        for pj in perm:
+            codes = [code * size + u[pj] for code, u in zip(codes, members)]
+        # suffix classes, bottom-up: every full row has class 0
+        kids: list = [None] * m
+        cls_of = dict.fromkeys(codes, 0)
+        for j in range(m - 1, -1, -1):
+            sigs: dict = {}
+            for code, c in cls_of.items():
+                parent, d = divmod(code, size)
+                sig = sigs.get(parent)
+                if sig is None:
+                    sig = sigs[parent] = [-1] * size
+                sig[d] = c
+            ids: dict = {}
+            cls_of = {}
+            for parent, sig in sigs.items():
+                cls_of[parent] = ids.setdefault(tuple(sig), len(ids))
+            kids[j] = list(ids)  # insertion order = class id order
+        self.kids = kids
+        # (depth, classes, target value) -> [(column, next classes)], shared
+        # by every target searched in this round
+        self.moves: dict = {}
 
-    def derivable(self, t, preimages, k: int, counter: list, max_nodes: int) -> bool:
-        size = self.size
-        alive = {(0,) * k}
-        for j in range(self.m):
-            cols = preimages[t[self.perm[j]]]
-            kids = self.children[j]
-            nxt = set()
-            for entry in alive:
-                masks = [kids.get(code, 0) for code in entry]
-                counter[0] += len(cols)
-                if counter[0] > max_nodes:
-                    raise BudgetError("closure derivability search exceeded its node budget")
-                for col in cols:
-                    ok = True
-                    for i in range(k):
-                        if not masks[i] >> col[i] & 1:
-                            ok = False
-                            break
-                    if ok:
-                        nxt.add(
-                            tuple(entry[i] * size + col[i] for i in range(k))
-                        )
-            if not nxt:
+    def derivable(self, t, counter: list, max_nodes: int) -> Optional[list]:
+        """The k argument rows of one witness that the op maps onto ``t``,
+        in coordinate order, or None when no members combine into ``t``.
+
+        Depth-first over coordinates in perm order; each (depth, classes)
+        state found to be a dead end is remembered for the rest of the call.
+        """
+        m, perm, kids, moves = self.m, self.perm, self.kids, self.moves
+        values = [t[perm[j]] for j in range(m)]
+        dead: set = set()
+        path: list = []
+
+        def extend(j: int, state: tuple) -> bool:
+            if j == m:
+                return True
+            if (j, state) in dead:
                 return False
-            alive = nxt
-        return True
+            cols = self.preimages[values[j]]
+            counter[0] += len(cols)
+            if counter[0] > max_nodes:
+                raise BudgetError("closure derivability search exceeded its node budget")
+            key = (j, state, values[j])
+            options = moves.get(key)
+            if options is None:
+                rows = [kids[j][c] for c in state]
+                options = []
+                for col in cols:
+                    nxt = tuple([row[d] for row, d in zip(rows, col)])
+                    if -1 not in nxt:
+                        options.append((col, nxt))
+                moves[key] = options
+            for col, nxt in options:
+                path.append(col)
+                if extend(j + 1, nxt):
+                    return True
+                path.pop()
+            dead.add((j, state))
+            return False
+
+        if not extend(0, (0,) * self.k):
+            return None
+        witness = [[0] * m for _ in range(self.k)]
+        for j, col in enumerate(path):
+            for i, d in enumerate(col):
+                witness[i][perm[j]] = d
+        return [tuple(row) for row in witness]
 
 
 def power_closure(
@@ -200,28 +263,41 @@ def power_closure(
     # constants from 0-ary ops enter once
     for op in small:
         if op.arity == 0:
-            S.add((op.apply(()),) * m)
-    small = [op for op in small if op.arity >= 1]
+            S.add((op.table[0],) * m)
+    # seeds were range-checked above and table values when each OpTable was
+    # built, so the sweep indexes the tables directly
+    unary = [op.table for op in small if op.arity == 1]
+    # binary[i] = (rows, cols): rows[a][b] = op(a, b) and cols[a][b] = op(b, a);
+    # cols is None for a commutative op, whose two orders agree
+    binary = []
+    for op in small:
+        if op.arity == 2:
+            rows = [op.table[a * size : (a + 1) * size] for a in range(size)]
+            cols = [op.table[a::size] for a in range(size)]
+            binary.append((rows, None if rows == cols else cols))
 
     def forward_sweep(frontier: set) -> None:
+        """Close S under the small operations, given that every member
+        outside ``frontier`` is already closed under them.  Each pair is
+        combined once, when the later of its two members is popped."""
+        done = [u for u in S if u not in frontier]
         work = list(frontier)
         while work:
             u = work.pop()
-            for op in small:
-                if op.arity == 1:
-                    w = tuple(op.apply((a,)) for a in u)
-                    if w not in S:
-                        S.add(w)
-                        work.append(w)
-                    continue
-                for v in list(S):
-                    for a, b in ((u, v), (v, u)):
-                        w = tuple(op.apply(col) for col in zip(a, b))
-                        if w not in S:
-                            S.add(w)
-                            work.append(w)
-                if len(S) == full_count:
-                    return
+            done.append(u)
+            new = [tuple([table[a] for a in u]) for table in unary]
+            for rows, cols in binary:
+                urows = [rows[a] for a in u]
+                new += [tuple(map(getitem, urows, v)) for v in done]
+                if cols is not None:
+                    ucols = [cols[a] for a in u]
+                    new += [tuple(map(getitem, ucols, v)) for v in done]
+            for w in new:
+                if w not in S:
+                    S.add(w)
+                    work.append(w)
+            if len(S) == full_count:
+                return
 
     preimages_by_op = []
     for op in big:
@@ -262,7 +338,6 @@ def power_closure(
                 return added
 
     counter = [0]
-    all_tuples = list(itertools.product(range(size), repeat=m))
     frontier = set(S)
     while True:
         forward_sweep(frontier)
@@ -277,17 +352,17 @@ def power_closure(
         members = sorted(S)
         searches: dict[tuple, _DeriveSearch] = {}
         added = set()
-        for t in all_tuples:
+        for t in itertools.product(range(size), repeat=m):
             if t in S:
                 continue
-            for op, pre in zip(big, preimages_by_op):
+            for i, (op, pre) in enumerate(zip(big, preimages_by_op)):
                 # smallest preimages first; stable, so permutations dedupe well
                 perm = tuple(sorted(range(m), key=lambda j: len(pre[t[j]])))
-                search = searches.get(perm)
+                search = searches.get((i, perm))
                 if search is None:
-                    search = _DeriveSearch(size, m, members, perm)
-                    searches[perm] = search
-                if search.derivable(t, pre, op.arity, counter, budget.max_nodes):
+                    search = _DeriveSearch(size, m, members, perm, pre, op.arity)
+                    searches[i, perm] = search
+                if search.derivable(t, counter, budget.max_nodes) is not None:
                     added.add(t)
                     break
         if not added:
@@ -307,7 +382,9 @@ class GenReport:
     """Size of a minimal generating set of the m-th power, with witness.
 
     ``method`` records how the number was obtained: "exact" (full subset
-    search), "branch-and-bound" (completed bounded search), or
+    search), "forced" (the greedy bound equals the number of forced tuples,
+    those the rest of the power does not generate, which every generating
+    set must contain), "branch-and-bound" (completed bounded search), or
     "greedy-upper" (upper bound only, search budget hit).
     """
 
@@ -330,7 +407,8 @@ def min_generating_size(
     """Cardinality of a minimal generating set of the m-th power.
 
     Exact (smallest-first over all subsets) when size**m <= 12; otherwise a
-    greedy upper bound refined by branch-and-bound under a node budget.
+    greedy upper bound, decided at once when the forced tuples lower bound
+    meets it, or else refined by branch-and-bound under a node budget.
     """
     size = algebra.domain.size
     space = size**m
@@ -364,7 +442,13 @@ def min_generating_size(
         closed = power_closure(algebra, chosen, budget)
     upper = len(chosen)
 
-    # branch and bound below the greedy bound
+    # t is forced when the rest of the power does not generate it; every
+    # generating set contains all forced tuples, so they bound the size below
+    forced = [t for t in all_tuples if t not in power_closure(algebra, full - {t}, budget)]
+    if len(forced) == upper:
+        return GenReport(m, upper, tuple(forced), "forced")
+
+    # branch and bound between the two bounds
     nodes = [0]
 
     def dfs(prefix: list, start: int, slots: int) -> Optional[tuple]:
@@ -382,7 +466,7 @@ def min_generating_size(
         return None
 
     try:
-        for s in range(1, upper):
+        for s in range(max(1, len(forced)), upper):
             witness = dfs([], 0, s)
             if witness is not None:
                 return GenReport(m, s, witness, "branch-and-bound")
@@ -449,7 +533,10 @@ def is_k_collapsible(
     size = algebra.domain.size
     sources = sorted(set(sources)) if sources is not None else list(algebra.domain.elements())
     out = {}
-    for label, srcs in [(x, [x]) for x in sources] + [("union", sources)]:
+    labelled = [(x, [x]) for x in sources]
+    if len(sources) > 1:
+        labelled.append(("union", sources))
+    for label, srcs in labelled:
         verdicts = {}
         for m in range(1, m_max + 1):
             seed = collapse_tuples(algebra.domain, m, min(k, m), srcs)
@@ -459,6 +546,9 @@ def is_k_collapsible(
             except BudgetError:
                 verdicts[m] = "budget"
         out[label] = PerLengthVerdict(k, verdicts, "collapse")
+    if len(sources) == 1:
+        # the union over one source is that source's seed
+        out["union"] = out[sources[0]]
     return out
 
 

@@ -53,6 +53,10 @@ class TestDispatch:
         code, report = cli_dispatch(["powers", "gen", sample("semilattice.alg"), "--m", "1"])
         assert code == EXIT_DECIDED
         assert report["size"] == 2 and report["witness"] == ["0", "1"]
+        # beyond the exact cap, the forced tuples decide the size
+        code, report = cli_dispatch(["powers", "gen", sample("semilattice.alg"), "--m", "3"])
+        assert code == EXIT_DECIDED
+        assert report["size"] == 8 and report["method"] == "forced"
 
     def test_gadget_emission_round_trips(self, tmp_path):
         out = tmp_path / "tau.struct"
@@ -126,6 +130,17 @@ class TestDispatch:
         assert code == 0
         out = capsys.readouterr().out
         assert json.loads(out)["verified"] is True
+
+    def test_json_flag_in_either_position(self, capsys):
+        outputs = []
+        for argv in (
+            ["algebra", "egp", sample("semilattice.alg"), "--json"],
+            ["--json", "algebra", "egp", sample("semilattice.alg")],
+        ):
+            assert main(argv) == EXIT_DECIDED
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["growth"] == "EGP"
 
     def test_qcsp_preprocess(self, tmp_path):
         path = tmp_path / "const.sentence"

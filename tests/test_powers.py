@@ -1,12 +1,19 @@
 import itertools
+import os
 import random
 
 import pytest
 
 from hypothesis import given, strategies as st
 
-from qforge import catalog, qcsp
-from qforge.clone import semilattice_s
+from qforge import catalog, files, powers, qcsp
+from qforge.clone import (
+    build_f_a_n,
+    build_f_b_n,
+    build_f_hat_a_n,
+    build_f_hat_b_n,
+    semilattice_s,
+)
 from qforge.errors import BudgetError, ValidationError
 from qforge.gadgets import build_rho
 from qforge.model import Algebra, Domain, Structure, op_from_function, projection
@@ -24,7 +31,10 @@ from qforge.powers import (
     reactive_compose_check,
     rect_compose_check,
     switch_count,
+    _DeriveSearch,
 )
+
+SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
 # --- independent oracles ----------------------------------------------------
 
@@ -82,6 +92,17 @@ class TestAdversaries:
     def test_switch_adversary_size(self, d3):
         # 3 constants plus 3 switch positions times 6 ordered value pairs
         assert len(build_switch_adversary(d3, 4, 1).tuples) == 3 + 3 * 6
+
+    def test_switch_adversary_matches_filter(self, d2, d3):
+        for domain in (d2, d3):
+            for m in range(1, 7):
+                for k in range(m + 1):
+                    expected = {
+                        t
+                        for t in itertools.product(range(domain.size), repeat=m)
+                        if sum(t[i] != t[i + 1] for i in range(m - 1)) <= k
+                    }
+                    assert build_switch_adversary(domain, m, k).tuples == expected
 
     def test_switch_monotone_in_k(self, d3):
         for m in range(1, 6):
@@ -166,6 +187,81 @@ class TestPowerClosure:
         with pytest.raises(BudgetError):
             power_closure(semilattice, [(0,) * 14], PowersBudget(max_cells=1000))
 
+    @given(
+        seed=st.integers(1, 6).flatmap(
+            lambda m: st.sets(st.tuples(*[st.integers(0, 2)] * m), min_size=1, max_size=6)
+        )
+    )
+    def test_semilattice_matches_naive_oracle_up_to_six(self, seed):
+        semilattice = catalog.semilattice_algebra()
+        assert power_closure(semilattice, seed) == naive_closure(semilattice, seed)
+
+    def test_node_budget_on_quaternary_closure(self, switchable):
+        # a single tuple is closed, so every other tuple needs a search
+        seed = [(0, 1, 2, 0)]
+        assert power_closure(switchable, seed) == {(0, 1, 2, 0)}
+        with pytest.raises(BudgetError):
+            power_closure(switchable, seed, PowersBudget(max_nodes=2))
+
+
+def _quaternary_ops():
+    r = files.load_algebra(os.path.join(SAMPLES, "switchable.alg")).ops["r"]
+    return {
+        "r": r,
+        "f_a_3": build_f_a_n(3),
+        "f_b_3": build_f_b_n(3),
+        "f_hat_a_2": build_f_hat_a_n(2),
+        "f_hat_b_2": build_f_hat_b_n(2),
+    }
+
+
+class TestDerivabilitySearch:
+    """The depth-first search against an exhaustive search over members**4."""
+
+    @pytest.mark.parametrize("name", ["r", "f_a_3", "f_b_3", "f_hat_a_2", "f_hat_b_2"])
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_witnesses_replay_and_misses_are_exhaustive(self, name, m):
+        op = _quaternary_ops()[name]
+        assert op.arity == 4
+        size, table = op.domain.size, op.table
+        preimages = {v: [] for v in range(size)}
+        for idx, args in enumerate(itertools.product(range(size), repeat=4)):
+            preimages[table[idx]].append(args)
+
+        def apply_rows(rows):
+            image = []
+            for j in range(m):
+                code = 0
+                for row in rows:
+                    code = code * size + row[j]
+                image.append(table[code])
+            return tuple(image)
+
+        rng = random.Random(f"{name}-{m}")
+        hits = misses = 0
+        for _ in range(3):
+            members = set()
+            for _ in range(rng.randint(2, 10)):
+                alphabet = (0, 1) if rng.random() < 0.6 else (0, 1, 2)
+                members.add(tuple(rng.choice(alphabet) for _ in range(m)))
+            images = {apply_rows(rows) for rows in itertools.product(members, repeat=4)}
+            perms = [tuple(range(m)), tuple(rng.sample(range(m), m))]
+            searches = [
+                _DeriveSearch(size, m, sorted(members), p, preimages, 4) for p in perms
+            ]
+            for t in itertools.product(range(size), repeat=m):
+                for search in searches:
+                    witness = search.derivable(t, [0], 10**9)
+                    if witness is None:
+                        assert t not in images
+                        misses += 1
+                    else:
+                        assert len(witness) == 4
+                        assert all(row in members for row in witness)
+                        assert apply_rows(witness) == t
+                        hits += 1
+        assert hits and misses
+
 
 # --- generating sets --------------------------------------------------------
 
@@ -201,12 +297,13 @@ class TestMinGeneratingSize:
         # 3**3 = 27 points is beyond the exact cap; the absorbing element
         # never produces a 2-free tuple, so the true minimum is 2**3 = 8
         report = min_generating_size(semilattice, 3, search_nodes=20_000)
-        assert report.method in ("branch-and-bound", "greedy-upper")
-        assert report.size >= 8
-        closed = power_closure(semilattice, report.witness)
-        assert closed == frozenset(itertools.product(range(3), repeat=3))
-        if report.method == "branch-and-bound":
-            assert report.size == 8
+        assert report.method == "forced"
+        assert report.size == 8 == len(set(report.witness))
+        full = frozenset(itertools.product(range(3), repeat=3))
+        assert naive_closure(semilattice, report.witness) == full
+        # each witness tuple is forced: the rest of the power misses it
+        for t in report.witness:
+            assert t not in naive_closure(semilattice, full - {t})
 
 
 # --- switchability / collapsibility probes ----------------------------------
@@ -233,6 +330,23 @@ class TestProbes:
             verdict = is_k_switchable(semilattice, k, 6)
             failure = verdict.first_failure()
             assert failure is not None and failure <= 6
+
+    def test_extension_two_switchable_at_six(self, switchable):
+        assert is_k_switchable(switchable, 2, 6).all_generate()
+
+    def test_single_source_union_closes_once(self, switchable, monkeypatch):
+        calls = []
+        real = powers.power_closure
+
+        def counting(algebra, seed, budget=None):
+            calls.append(len(seed))
+            return real(algebra, seed, budget)
+
+        monkeypatch.setattr(powers, "power_closure", counting)
+        verdicts = is_k_collapsible(switchable, 1, 4, sources=[1])
+        assert len(calls) == 4  # one closure per length
+        assert set(verdicts) == {1, "union"}
+        assert verdicts["union"].verdicts == verdicts[1].verdicts
 
     def test_extension_collapsibility_fails_at_five(self, switchable):
         verdicts = is_k_collapsible(switchable, 1, 5)
