@@ -5,12 +5,13 @@ subsets of the domain.  The block gadgets are disjunctions of a fixed base
 relation over consecutive variable blocks, so their DNF encodings grow
 linearly in the block count while the tuple encodings grow exponentially;
 builders above the materialization threshold return DNF-backed relations
-only.
+only, and the canon tests read those disjunct by disjunct, never as tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -25,6 +26,7 @@ from .model import (
     Or,
     Relation,
     Structure,
+    VarEq,
 )
 
 TUPLE_ENCODING_MAX_K = 3
@@ -85,7 +87,9 @@ def _block_relation(
                 f"tuple encoding materializes {domain.size}**{arity} assignments; "
                 f"use DNF beyond k={TUPLE_ENCODING_MAX_K}"
             )
-        base = _side_tuples(ab, width)
+        base = {
+            t for side in (ab.alpha, ab.beta) for t in itertools.product(sorted(side), repeat=width)
+        }
         members = [
             t
             for t in itertools.product(domain.elements(), repeat=arity)
@@ -93,12 +97,6 @@ def _block_relation(
         ]
         return Relation.from_tuples(domain, arity, members)
     raise ValidationError(f"unsupported gadget encoding {encoding!r}")
-
-
-def _side_tuples(ab: AlphaBeta, width: int) -> frozenset:
-    out = set(itertools.product(sorted(ab.alpha), repeat=width))
-    out |= set(itertools.product(sorted(ab.beta), repeat=width))
-    return frozenset(out)
 
 
 def build_rho(domain: Domain, ab: AlphaBeta, encoding: str = ENC_TUPLES) -> Relation:
@@ -187,109 +185,186 @@ def build_nu_for_sigma(domain: Domain, ab: AlphaBeta, m: int) -> OpTable:
 
 
 # ---------------------------------------------------------------------------
-# existentially trivial languages and canons
+# disjunct classes, forced coordinates and canons
+#
+# A relation is read as a list of disjunct keys, one entry per coordinate
+# (or atom variable): the element the disjunct forces there, else the label
+# -1 - j of the position's equality class, j its first position.  Each
+# disjunct is the product over its classes, so equal keys mean equal sets;
+# a tuple is a key without labels.
+
+
+def _merge(pairs, nodes) -> Optional[tuple]:
+    """Identify each pair of nodes (labels, variables or elements; distinct
+    elements never merge) and return the key of `nodes`, None on a clash."""
+    parent: dict = {}
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        x, y = find(x), find(y)
+        if x != y and isinstance(x, int) and x >= 0:
+            if isinstance(y, int) and y >= 0:
+                return None
+            x, y = y, x
+        if x != y:
+            parent[x] = y
+    first: dict = {}
+    return tuple(
+        r if isinstance(r, int) and r >= 0 else first.setdefault(r, -1 - j)
+        for j, r in enumerate(map(find, nodes))
+    )
+
+
+def _keys(rel: Relation) -> list:
+    """The satisfiable disjuncts of a DNF relation, read from its formula;
+    the tuples of any other encoding (a QF relation materializes)."""
+    if rel.encoding != ENC_DNF:
+        return list(rel.tuples())
+    node, labels = rel.formula, [-1 - j for j in range(rel.arity)]
+    merged = (
+        _merge([(-1 - l.left, -1 - l.right) if isinstance(l, VarEq) else (-1 - l.var, l.value)
+                for l in (d.parts if isinstance(d, And) else (d,))], labels)
+        for d in (node.parts if isinstance(node, Or) else (node,))
+    )
+    return list(dict.fromkeys(k for k in merged if k is not None))
+
+
+@dataclass
+class Forcing:
+    """What a relation forces on an atom's variables, from one pass over its
+    disjuncts: the satisfiable ones as keys over the variables, the
+    variables forced to a constant (the union of their class values is one
+    element) and (kept, dropped) pairs forced equal (every disjunct puts
+    them in one class or pins both to one element).  Exact, since each
+    disjunct is a product over its classes."""
+
+    keys: list
+    full: frozenset
+    consts: dict
+    equal: list
+
+    @classmethod
+    def of(cls, rel: Relation, args=None) -> Optional["Forcing"]:
+        """Substitute the atom arguments `args` (variable names, and domain
+        elements as constants; None for the coordinates themselves) into
+        every disjunct of `rel`.  None when no disjunct survives."""
+        keys, variables = _keys(rel), tuple(range(rel.arity))
+        if args is not None:
+            variables = tuple(dict.fromkeys(a for a in args if isinstance(a, str)))
+            merged = (_merge(zip(key, args), variables) for key in keys)
+            keys = list(dict.fromkeys(k for k in merged if k is not None))
+        if not keys:
+            return None
+        forcing = cls(keys, frozenset(rel.domain.elements()), {}, [])
+        groups: dict = {}
+        for j, v in enumerate(variables):
+            values = forcing.values(j)
+            if len(values) == 1:
+                forcing.consts[v] = next(iter(values))
+            else:
+                groups.setdefault(tuple(key[j] for key in keys), []).append(v)
+        forcing.equal = [(g[0], v) for g in groups.values() for v in g[1:]]
+        return forcing
+
+    def _allowed(self, x: int):
+        return (x,) if x >= 0 else self.full
+
+    def values(self, j: int) -> frozenset:
+        """Projection to the j-th variable."""
+        return frozenset(v for key in self.keys for v in self._allowed(key[j]))
+
+    def pairs(self, i: int, j: int) -> frozenset:
+        """Projection to the i-th and j-th variables."""
+        out = set()
+        for key in self.keys:
+            if key[i] == key[j]:
+                out.update((v, v) for v in self._allowed(key[i]))
+            else:
+                out.update(itertools.product(self._allowed(key[i]), self._allowed(key[j])))
+        return frozenset(out)
+
+
+def proj_single(rel: Relation, i: int) -> frozenset:
+    """Unary projection to coordinate i; DNF relations are read through
+    their disjunct classes and never materialized."""
+    if not 0 <= i < rel.arity:
+        raise ValidationError(f"coordinate {i} out of range")
+    forcing = Forcing.of(rel)
+    return forcing.values(i) if forcing else frozenset()
+
+
+def proj_pair(rel: Relation, i: int, j: int) -> frozenset:
+    """Binary projection to coordinates (i, j), the same way."""
+    for c in (i, j):
+        if not 0 <= c < rel.arity:
+            raise ValidationError(f"coordinate {c} out of range")
+    forcing = Forcing.of(rel)
+    return forcing.pairs(i, j) if forcing else frozenset()
 
 
 def is_existentially_trivial(struct: Structure) -> Optional[int]:
     """Least element substitutable into any coordinate of any tuple of every
     relation without leaving it, or None.  Declared constants do not take
-    part (they surface as equality atoms and are eliminated separately)."""
+    part (they surface as equality atoms and are eliminated separately).
+
+    Decided per disjunct, never by materializing a DNF relation: the
+    disjunct with coordinate i set to c must lie inside the relation.
+    """
+    keyed = [_keys(rel) for rel in struct.relations.values()]
     for c in struct.domain.elements():
-        if all(_canon_ok(rel, c) for rel in struct.relations.values()):
+        if all(_canon_ok(keys, c, struct.domain.size) for keys in keyed):
             return c
     return None
 
 
-def _canon_ok(rel: Relation, c: int) -> bool:
-    for t in rel.tuples():
-        for i in range(rel.arity):
-            if not rel.contains(t[:i] + (c,) + t[i + 1 :]):
+def _canon_ok(keys: list, c: int, size: int) -> bool:
+    known = set(keys)
+    for key in keys:
+        counts = Counter(key)
+        for i, x in enumerate(key):
+            if x == c or (x < 0 and counts[x] == 1):
+                continue  # the moved disjunct lies inside this one
+            moved = key[:i] + (c,) + key[i + 1 :]
+            moved = _merge((), moved) if x < 0 else moved  # relabel a split class
+            if moved not in known and _escapes(keys, moved, {}, size):
                 return False
     return True
 
 
-def proj_single(rel: Relation, i: int) -> frozenset:
-    """Unary projection to coordinate i.
-
-    DNF-backed relations are projected syntactically (per-disjunct class
-    analysis), so this never materializes them.
-    """
-    if not 0 <= i < rel.arity:
-        raise ValidationError(f"coordinate {i} out of range")
-    if rel.encoding == ENC_DNF:
-        out = set()
-        for disjunct in _dnf_disjunct_classes(rel):
-            if disjunct is not None:
-                out |= disjunct.values[i]
-        return frozenset(out)
-    return frozenset(t[i] for t in rel.tuples())
-
-
-def proj_pair(rel: Relation, i: int, j: int) -> frozenset:
-    """Binary projection to coordinates (i, j), syntactic on DNF."""
-    for c in (i, j):
-        if not 0 <= c < rel.arity:
-            raise ValidationError(f"coordinate {c} out of range")
-    if rel.encoding == ENC_DNF:
-        out = set()
-        for disjunct in _dnf_disjunct_classes(rel):
-            if disjunct is None:
+def _escapes(keys: list, moved: tuple, chosen: dict, size: int) -> bool:
+    """Some tuple of the disjunct `moved` whose classes agree with `chosen`
+    satisfies none of `keys`: depth first, branching on an open class of
+    the first disjunct not yet refuted; a disjunct that already holds
+    closes the branch."""
+    branch = None
+    for key in keys:
+        open_class = None
+        for j, x in enumerate(key):
+            a, b = moved[j], (x if x >= 0 else moved[-1 - x])
+            if a == b:
                 continue
-            vi, vj = disjunct.values[i], disjunct.values[j]
-            if i == j or disjunct.roots[i] == disjunct.roots[j]:
-                out |= {(v, v) for v in vi & vj}
-            else:
-                out |= set(itertools.product(sorted(vi), sorted(vj)))
-        return frozenset(out)
-    return frozenset((t[i], t[j]) for t in rel.tuples())
-
-
-@dataclass
-class _DisjunctClasses:
-    values: list  # per coordinate: allowed value set
-    roots: list  # per coordinate: equality-class representative
-
-
-def _dnf_disjunct_classes(rel: Relation):
-    """Per satisfiable disjunct: allowed values and equality classes of the
-    coordinates; unsatisfiable disjuncts yield None."""
-    from .model import And as AndNode, ConstEq as CE, Or as OrNode, VarEq as VE
-
-    node = rel.formula
-    disjuncts = node.parts if isinstance(node, OrNode) else (node,)
-    full = frozenset(rel.domain.elements())
-    for d in disjuncts:
-        lits = d.parts if isinstance(d, AndNode) else (d,)
-        parent = list(range(rel.arity))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        forced: dict[int, int] = {}
-        sat = True
-        for lit in lits:
-            if isinstance(lit, VE):
-                parent[find(lit.left)] = find(lit.right)
-            elif not isinstance(lit, CE):
-                raise ValidationError("DNF disjunct contains a non-literal")
-        for lit in lits:
-            if isinstance(lit, CE):
-                root = find(lit.var)
-                if forced.get(root, lit.value) != lit.value:
-                    sat = False
-                    break
-                forced[root] = lit.value
-        if not sat:
-            yield None
-            continue
-        roots = [find(i) for i in range(rel.arity)]
-        values = [
-            frozenset((forced[r],)) if r in forced else full for r in roots
-        ]
-        yield _DisjunctClasses(values, roots)
+            a, b = chosen.get(a, a), chosen.get(b, b)
+            if a < 0 or b < 0:
+                open_class = a if a < 0 else b
+            elif a != b:
+                break
+        else:
+            if open_class is None:
+                return False
+            if branch is None:
+                branch = open_class
+    if branch is None:
+        return True
+    for v in range(size):
+        chosen[branch] = v
+        if _escapes(keys, moved, chosen, size):
+            return True
+    del chosen[branch]
+    return False
 
 
 @dataclass
@@ -310,44 +385,31 @@ class AlmostTrivialVerdict:
 
 
 def is_almost_existentially_trivial(struct: Structure) -> AlmostTrivialVerdict:
-    """Strip forced-constant and forced-equal coordinates from every relation
-    (detected through 1- and 2-coordinate projections), then look for a
-    common canon of the residual relations."""
-    reductions = []
-    residuals = {}
+    """Strip the coordinates each relation forces to a constant or equal to
+    an earlier one (`Forcing.of` with the identity arguments), then look
+    for a common canon of the residual relations."""
+    reductions, residuals = [], {}
     for name, rel in struct.relations.items():
-        forcings = []
-        coords = list(range(rel.arity))  # residual position -> original coord
-        current = rel
-        changed = True
-        while changed and current.arity > 0:
-            changed = False
-            for i in range(current.arity):
-                values = proj_single(current, i)
-                if len(values) == 1:
-                    forcings.append(("const", coords[i], next(iter(values))))
-                    current = _drop_coordinate(current, i)
-                    del coords[i]
-                    changed = True
-                    break
-            if changed:
-                continue
-            for i, j in itertools.combinations(range(current.arity), 2):
-                pairs = proj_pair(current, i, j)
-                if pairs and all(a == b for a, b in pairs):
-                    forcings.append(("eq", coords[i], coords[j]))
-                    current = _drop_coordinate(current, j)
-                    del coords[j]
-                    changed = True
-                    break
-        reductions.append(Reduction(name, forcings, current))
-        residuals[name] = current
-    residual_struct = Structure(struct.domain, residuals)
-    canon = is_existentially_trivial(residual_struct)
+        forcing = Forcing.of(rel) or Forcing([], frozenset(), {}, [])  # empty rel
+        forcings = [("const", j, c) for j, c in forcing.consts.items()]
+        forcings += [("eq", i, j) for i, j in forcing.equal]
+        dropped = set(forcing.consts) | {j for _, j in forcing.equal}
+        residual = _drop_coordinates(rel, forcing.keys, dropped) if dropped else rel
+        reductions.append(Reduction(name, forcings, residual))
+        residuals[name] = residual
+    canon = is_existentially_trivial(Structure(struct.domain, residuals))
     return AlmostTrivialVerdict(canon is not None, canon, reductions)
 
 
-def _drop_coordinate(rel: Relation, i: int) -> Relation:
-    return Relation.from_tuples(
-        rel.domain, rel.arity - 1, {t[:i] + t[i + 1 :] for t in rel.tuples()}
-    )
+def _drop_coordinates(rel: Relation, keys: list, dropped: set) -> Relation:
+    """Project away coordinates that the kept ones determine, disjunct by
+    disjunct."""
+    kept = [j for j in range(rel.arity) if j not in dropped]
+    projected = sorted({_merge((), [key[j] for j in kept]) for key in keys})
+    if rel.encoding != ENC_DNF:
+        return Relation.from_tuples(rel.domain, len(kept), projected)
+    return Relation.from_dnf(rel.domain, len(kept), Or(tuple(
+        And(tuple(ConstEq(j, x) if x >= 0 else VarEq(-1 - x, j)
+                  for j, x in enumerate(key) if x != -1 - j))
+        for key in projected
+    )))

@@ -95,11 +95,6 @@ class OpTable:
             yield args, self.table[i]
 
 
-def apply_op(op: OpTable, args: Sequence[int]) -> int:
-    """Table lookup at the row-major index of ``args``."""
-    return op.apply(args)
-
-
 def op_from_function(domain: Domain, arity: int, fn, idempotent: bool = False) -> OpTable:
     """Tabulate a python function into an OpTable."""
     table = tuple(fn(*args) for args in itertools.product(domain.elements(), repeat=arity))

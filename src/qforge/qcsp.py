@@ -367,29 +367,23 @@ def eliminate_constant_atoms(phi: SentencePH, domain: Domain) -> Optional[Senten
     v=a, v=a' as constant/constant mismatches.  Idempotent.
     """
     quant = {v: q for q, v in phi.prefix}
-    prefix = list(phi.prefix)
-    atoms = list(phi.atoms)
+    prefix, atoms = list(phi.prefix), list(phi.atoms)
     while True:
-        target = None
-        for atom in atoms:
-            if isinstance(atom, EqAtom):
-                lc = isinstance(atom.left, int)
-                rc = isinstance(atom.right, int)
-                if lc or rc:
-                    target = (atom, lc, rc)
-                    break
-        if target is None:
+        atom = next(
+            (a for a in atoms
+             if isinstance(a, EqAtom) and (isinstance(a.left, int) or isinstance(a.right, int))),
+            None,
+        )
+        if atom is None:
             return SentencePH(tuple(prefix), tuple(atoms))
-        atom, lc, rc = target
-        if lc and rc:
-            if atom.left != atom.right:
+        atoms.remove(atom)
+        var, value = (atom.right, atom.left) if isinstance(atom.left, int) else (atom.left, atom.right)
+        if isinstance(var, int):
+            if var != value:
                 return None
-            atoms.remove(atom)
             continue
-        var, value = (atom.right, atom.left) if lc else (atom.left, atom.right)
         if quant[var] == FORALL and domain.size > 1:
             return None
-        atoms.remove(atom)
         prefix = [(q, v) for q, v in prefix if v != var]
         atoms = [_substitute(a, var, value) for a in atoms]
 
@@ -427,7 +421,10 @@ def solve_via_canon(
     with the canon, and brute-forcing the purely universal residue.
 
     Correct when the structure's relations are (almost) existentially
-    trivial; the canon is computed from them when not supplied.
+    trivial; the canon is computed from them when not supplied.  Forcings
+    and canons are read from each relation's disjuncts (`gadgets.Forcing`),
+    so DNF- and tuple-backed relations are never materialized; QF-backed
+    ones materialize up to `model.MATERIALIZE_CAP` assignments.
     """
     validate_sentence(struct, phi)
     domain = struct.domain
@@ -439,21 +436,14 @@ def solve_via_canon(
             raise ValidationError("structure is not (almost) existentially trivial")
         canon = verdict.canon
 
-    current: Optional[SentencePH] = phi
-    while True:
+    current, changed = phi, True
+    while changed:
         current = eliminate_constant_atoms(current, domain)
-        if current is None:
-            return False
-        resolved = _resolve_equalities(current, domain)
-        if resolved is None:
-            return False
-        current, changed_eq = resolved
-        forced = _force_atom_coordinates(struct, current)
+        resolved = None if current is None else _resolve_equalities(current)
+        forced = None if resolved is None else _force_atom_coordinates(struct, resolved[0])
         if forced is None:
             return False
-        current, changed_forced = forced
-        if not (changed_eq or changed_forced):
-            break
+        current, changed = forced[0], resolved[1] or forced[1]
 
     atoms = list(current.atoms)
     for q, v in current.prefix:
@@ -465,88 +455,49 @@ def solve_via_canon(
     return solve_universal_conjunction(struct, residue)
 
 
-def _resolve_equalities(phi: SentencePH, domain: Domain):
-    """Remove variable/variable equality atoms; None = decided false."""
-    prefix = list(phi.prefix)
-    atoms = list(phi.atoms)
-    quant = {v: q for q, v in prefix}
-    position = {v: i for i, (_, v) in enumerate(prefix)}
-    changed = False
+def _resolve_equalities(phi: SentencePH):
+    """Remove variable/variable equality atoms by substituting the earlier
+    variable for the later one, which must be existential; None = decided
+    false (the domain has at least two elements)."""
+    prefix, atoms, changed = list(phi.prefix), list(phi.atoms), False
     while True:
-        target = None
-        for atom in atoms:
-            if isinstance(atom, EqAtom) and isinstance(atom.left, str) and isinstance(
-                atom.right, str
-            ):
-                target = atom
-                break
+        target = next(
+            (a for a in atoms
+             if isinstance(a, EqAtom) and isinstance(a.left, str) and isinstance(a.right, str)),
+            None,
+        )
         if target is None:
             return SentencePH(tuple(prefix), tuple(atoms)), changed
         changed = True
-        a, b = target.left, target.right
-        if a == b:
-            atoms.remove(target)
-            continue
-        qa, qb = quant[a], quant[b]
-        if qa == FORALL and qb == FORALL:
-            return None
-        if qa == FORALL or (qb == EXISTS and position[a] < position[b]):
-            keep, drop = a, b
-        else:
-            keep, drop = b, a
-        if quant[keep] == FORALL and position[drop] < position[keep]:
-            # an existential quantified before the universal it must equal
-            return None
         atoms.remove(target)
+        order = [v for _, v in prefix]
+        keep, drop = sorted((target.left, target.right), key=order.index)
+        if keep == drop:
+            continue
+        if prefix[order.index(drop)][0] == FORALL:
+            return None
         prefix = [(q, v) for q, v in prefix if v != drop]
         atoms = [_substitute(x, drop, keep) for x in atoms]
-        position = {v: i for i, (_, v) in enumerate(prefix)}
-        quant = {v: q for q, v in prefix}
 
 
 def _force_atom_coordinates(struct: Structure, phi: SentencePH):
-    """Detect positions forced to a constant or forced pairwise equal inside
-    one relation atom; emit them as equality atoms.  None = some atom is
+    """Emit the constants and equalities each relation atom forces on its
+    variables (`gadgets.Forcing`) as equality atoms.  None = some atom is
     unsatisfiable outright."""
     new_atoms: list[Atom] = []
     changed = False
     for atom in phi.atoms:
         new_atoms.append(atom)
-        if not isinstance(atom, RelAtom):
+        if not isinstance(atom, RelAtom) or not _atom_vars(atom):
             continue
-        rel = struct.relation(atom.rel)
-        variables = sorted(set(_atom_vars(atom)))
-        if not variables:
-            continue
-        solutions = []
-        for t in rel.tuples():
-            env = {}
-            ok = True
-            for a, value in zip(atom.args, t):
-                if isinstance(a, int):
-                    if a != value:
-                        ok = False
-                        break
-                elif env.setdefault(a, value) != value:
-                    ok = False
-                    break
-            if ok:
-                solutions.append(tuple(env[v] for v in variables))
-        if not solutions:
+        forcing = gadgets.Forcing.of(struct.relation(atom.rel), atom.args)
+        if forcing is None:
             return None
-        for i, v in enumerate(variables):
-            values = {sol[i] for sol in solutions}
-            if len(values) == 1:
-                eq = EqAtom(v, next(iter(values)))
-                if eq not in new_atoms:
-                    new_atoms.append(eq)
-                    changed = True
-        for i, j in itertools.combinations(range(len(variables)), 2):
-            if all(sol[i] == sol[j] for sol in solutions):
-                eq = EqAtom(variables[i], variables[j])
-                if eq not in new_atoms:
-                    new_atoms.append(eq)
-                    changed = True
+        for left, right in list(forcing.consts.items()) + forcing.equal:
+            eq = EqAtom(left, right)
+            if eq not in new_atoms:
+                new_atoms.append(eq)
+                changed = True
     return SentencePH(phi.prefix, tuple(new_atoms)), changed
 
 
@@ -562,11 +513,13 @@ class NaeInstance:
     clauses: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self):
-        known = set(self.variables)
-        for clause in self.clauses:
-            for v in clause:
-                if v not in known:
-                    raise ValidationError(f"clause variable {v!r} not declared")
+        _check_clauses(self.clauses, self.variables)
+
+
+def _check_clauses(clauses, *blocks) -> None:
+    known = set().union(*blocks)
+    for v in (v for clause in clauses for v in clause if v not in known):
+        raise ValidationError(f"clause variable {v!r} not declared")
 
 
 def naesat_brute(inst: NaeInstance) -> bool:
@@ -608,47 +561,32 @@ class Pi2NaeInstance:
     def __post_init__(self):
         if set(self.universals) & set(self.existentials):
             raise ValidationError("universal and existential blocks must be disjoint")
-        known = set(self.universals) | set(self.existentials)
-        for clause in self.clauses:
-            for v in clause:
-                if v not in known:
-                    raise ValidationError(f"clause variable {v!r} not declared")
+        _check_clauses(self.clauses, self.universals, self.existentials)
 
 
-def _pi2_brute(inst: Pi2NaeInstance, clause_ok) -> bool:
-    for uvals in itertools.product((0, 1), repeat=len(inst.universals)):
-        env = dict(zip(inst.universals, uvals))
-        witnessed = False
-        for evals in itertools.product((0, 1), repeat=len(inst.existentials)):
-            env.update(zip(inst.existentials, evals))
-            if all(clause_ok(env[a], env[b], env[c]) for a, b, c in inst.clauses):
-                witnessed = True
-                break
-        if not witnessed:
-            return False
-    return True
+def _pi2_brute(inst: Pi2NaeInstance, matrix) -> bool:
+    """For all universal booleans, some existential booleans satisfy
+    `matrix` (a predicate on the assignment)."""
+    bits = lambda names: [dict(zip(names, v)) for v in itertools.product((0, 1), repeat=len(names))]
+    return all(
+        any(matrix({**u, **e}) for e in bits(inst.existentials)) for u in bits(inst.universals)
+    )
 
 
 def pi2_nae_brute(inst: Pi2NaeInstance) -> bool:
     """For all universal booleans, some existential booleans make every
     clause not-all-equal."""
-    return _pi2_brute(inst, lambda a, b, c: len({a, b, c}) > 1)
+    return _pi2_brute(
+        inst, lambda env: all(len({env[a], env[b], env[c]}) > 1 for a, b, c in inst.clauses)
+    )
 
 
 def pi2_allequal_brute(inst: Pi2NaeInstance) -> bool:
     """For all universal booleans, some existential booleans make SOME
     clause constant (the complementary game)."""
-    for uvals in itertools.product((0, 1), repeat=len(inst.universals)):
-        env = dict(zip(inst.universals, uvals))
-        witnessed = False
-        for evals in itertools.product((0, 1), repeat=len(inst.existentials)):
-            env.update(zip(inst.existentials, evals))
-            if any(env[a] == env[b] == env[c] for a, b, c in inst.clauses):
-                witnessed = True
-                break
-        if not witnessed:
-            return False
-    return True
+    return _pi2_brute(
+        inst, lambda env: any(env[a] == env[b] == env[c] for a, b, c in inst.clauses)
+    )
 
 
 CASE_A = "A"

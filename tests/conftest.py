@@ -2,7 +2,7 @@ import pytest
 
 from qforge import catalog
 from qforge.gadgets import AlphaBeta
-from qforge.model import Domain
+from qforge.model import ENC_DNF, Domain, Relation
 
 
 @pytest.fixture
@@ -33,3 +33,16 @@ def switchable():
 @pytest.fixture
 def projections3():
     return catalog.projections_algebra()
+
+
+@pytest.fixture
+def no_dnf_materialization(monkeypatch):
+    """Make Relation.tuples raise on DNF-backed relations."""
+    original = Relation.tuples
+
+    def guarded(rel):
+        if rel.encoding == ENC_DNF:
+            raise AssertionError(f"materialized {rel!r}")
+        return original(rel)
+
+    monkeypatch.setattr(Relation, "tuples", guarded)

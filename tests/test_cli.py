@@ -153,6 +153,17 @@ class TestDispatch:
         assert "tau1(0,y,z)" in report["sentence"]
         assert "exists v" not in report["sentence"]
 
+    def test_canon_solve_on_k5_reduction(self, tmp_path, no_dnf_materialization):
+        nae = tmp_path / "k5.nae"
+        nae.write_text("nae p q r\nnae q r s\nnae r s t\nnae p s t\nnae p q t\n")
+        sentence, structure = str(tmp_path / "k5.sentence"), str(tmp_path / "k5.struct")
+        code, report = cli_dispatch(
+            ["reduce", "naesat", str(nae), "--eval", "--out", sentence, "--out-structure", structure]
+        )
+        assert code == EXIT_DECIDED and report["true"] is not report["brute_satisfiable"]
+        code, solved = cli_dispatch(["qcsp", "solve", structure, sentence, "--method", "canon"])
+        assert code == EXIT_DECIDED and solved["true"] is report["true"]
+
     def test_gadgets_nu(self, tmp_path):
         out = tmp_path / "nu.alg"
         code, report = cli_dispatch(["gadgets", "nu", "--m", "1", "--out", str(out)])

@@ -222,3 +222,146 @@ class TestProjections:
         rel = Relation.from_dnf(d3, 3, "(x0=x1&x2=0)|(x0=2&x1=2&x2=1)")
         assert proj_single(rel, 2) == {0, 1}
         assert proj_pair(rel, 0, 1) == {(0, 0), (1, 1), (2, 2)}
+
+
+class TestForcingOracle:
+    """The forced-coordinate routine, the projections and the least canon
+    against brute force over the materialized tuple set.  The oracle reads
+    the generated literals itself and never calls the routine."""
+
+    @staticmethod
+    def random_dnf(rng, arity):
+        disjuncts = []
+        shared = []  # literals added to every disjunct, so that some coordinates are forced
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(arity)
+            shared.append(
+                ("const", i, rng.randrange(3)) if rng.random() < 0.5
+                else ("eq", i, rng.randrange(arity))
+            )
+        for _ in range(rng.randint(0, 5)):
+            lits = list(shared)
+            for _ in range(rng.randint(0, 3)):
+                i, j = rng.randrange(arity), rng.randrange(arity)
+                lits.append(("eq", i, j) if rng.random() < 0.4 else ("const", i, rng.randrange(3)))
+            if rng.random() < 0.15:  # an unsatisfiable disjunct
+                i = rng.randrange(arity)
+                lits += [("const", i, 0), ("const", i, 1)]
+            disjuncts.append(lits)
+        return disjuncts
+
+    @staticmethod
+    def members(disjuncts, arity):
+        def holds(t, lit):
+            kind, i, x = lit
+            return t[i] == (t[x] if kind == "eq" else x)
+
+        return {
+            t
+            for t in itertools.product(range(3), repeat=arity)
+            if any(all(holds(t, lit) for lit in d) for d in disjuncts)
+        }
+
+    @staticmethod
+    def least_canon(tuples, arity):
+        for c in range(3):
+            if all(t[:i] + (c,) + t[i + 1 :] in tuples for t in tuples for i in range(arity)):
+                return c
+        return None
+
+    @staticmethod
+    def oracle_forcing(tuples, args):
+        """(forced constants, classes of variables forced equal) or None."""
+        variables = list(dict.fromkeys(a for a in args if isinstance(a, str)))
+        solutions = set()
+        for t in tuples:
+            env = {}
+            if all(
+                a == v if isinstance(a, int) else env.setdefault(a, v) == v
+                for a, v in zip(args, t)
+            ):
+                solutions.add(tuple(env[x] for x in variables))
+        if not solutions:
+            return None
+        consts, free = {}, []
+        for j, x in enumerate(variables):
+            values = {s[j] for s in solutions}
+            if len(values) == 1:
+                consts[x] = values.pop()
+            else:
+                free.append(j)
+        classes = {
+            frozenset(variables[j2] for j2 in free if all(s[j] == s[j2] for s in solutions))
+            for j in free
+        }
+        return consts, {c for c in classes if len(c) > 1}
+
+    @staticmethod
+    def reported_classes(equal):
+        classes = {}
+        for kept, dropped in equal:
+            classes.setdefault(kept, {kept}).add(dropped)
+        return {frozenset(c) for c in classes.values()}
+
+    def test_against_brute_force(self, d3):
+        from qforge.gadgets import Forcing
+        from qforge.model import And, ConstEq, Or, VarEq
+
+        rng = random.Random(4099)
+        hits = {"forced": 0, "unsat_atoms": 0, "canon": 0, "no_canon": 0}
+        for _ in range(300):
+            arity = rng.randint(1, 6)
+            disjuncts = self.random_dnf(rng, arity)
+            formula = Or(tuple(
+                And(tuple(VarEq(i, x) if kind == "eq" else ConstEq(i, x) for kind, i, x in d))
+                for d in disjuncts
+            ))
+            tuples = self.members(disjuncts, arity)
+            dnf = Relation.from_dnf(d3, arity, formula)
+            for rel in (dnf, Relation.from_tuples(d3, arity, tuples)):
+                for i in range(arity):
+                    assert proj_single(rel, i) == {t[i] for t in tuples}
+                    for j in range(arity):
+                        assert proj_pair(rel, i, j) == {(t[i], t[j]) for t in tuples}
+
+                identity = tuple(f"x{i}" for i in range(arity))
+                expected = self.oracle_forcing(tuples, identity)
+                verdict = is_almost_existentially_trivial(Structure(d3, {"r": rel}))
+                forcings = verdict.reductions[0].forcings
+                kept = list(range(arity))
+                if expected is None:
+                    assert Forcing.of(rel) is None and forcings == []
+                else:
+                    consts, classes = expected
+                    assert {("const", int(x[1:]), v) for x, v in consts.items()} == {
+                        f for f in forcings if f[0] == "const"
+                    }
+                    eq = [f[1:] for f in forcings if f[0] == "eq"]
+                    assert self.reported_classes([(f"x{a}", f"x{b}") for a, b in eq]) == classes
+                    hits["forced"] += bool(forcings)
+                    dropped = {f[1] for f in forcings if f[0] == "const"} | {b for _, b in eq}
+                    kept = [j for j in kept if j not in dropped]
+                residual = {tuple(t[j] for j in kept) for t in tuples}
+                assert verdict.reductions[0].residual.tuples() == residual
+                canon = self.least_canon(residual, len(kept))
+                assert verdict.canon == canon
+                assert is_existentially_trivial(Structure(d3, {"r": rel})) == self.least_canon(
+                    tuples, arity
+                )
+                hits["canon" if canon is not None else "no_canon"] += 1
+
+                for _ in range(5):
+                    args = tuple(
+                        rng.choice("uvw") if rng.random() < 0.75 else rng.randrange(3)
+                        for _ in range(arity)
+                    )
+                    expected = self.oracle_forcing(tuples, args)
+                    forcing = Forcing.of(rel, args)
+                    if expected is None:
+                        assert forcing is None
+                        hits["unsat_atoms"] += 1
+                        continue
+                    consts, classes = expected
+                    assert forcing.consts == consts
+                    assert self.reported_classes(forcing.equal) == classes
+        assert min(hits.values()) >= 20, hits

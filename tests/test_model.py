@@ -9,7 +9,6 @@ from qforge.model import (
     Domain,
     OpTable,
     Relation,
-    apply_op,
     formula_to_text,
     is_dnf,
     materialize,
@@ -55,12 +54,12 @@ class TestDomainAndOps:
 
     def test_switchable_r_rows(self, d3):
         r = switchable_r(d3)
-        assert apply_op(r, (0, 1, 1, 1)) == 1
-        assert apply_op(r, (2, 2, 2, 2)) == 2
-        assert apply_op(r, (0, 0, 0, 1)) == 0
-        assert apply_op(r, (0, 0, 1, 0)) == 0
-        assert apply_op(r, (1, 0, 1, 1)) == 1
-        assert apply_op(r, (0, 1, 2, 0)) == 2
+        assert r.apply((0, 1, 1, 1)) == 1
+        assert r.apply((2, 2, 2, 2)) == 2
+        assert r.apply((0, 0, 0, 1)) == 0
+        assert r.apply((0, 0, 1, 0)) == 0
+        assert r.apply((1, 0, 1, 1)) == 1
+        assert r.apply((0, 1, 2, 0)) == 2
 
     def test_semilattice_rows(self, d3):
         s = semilattice_s(d3)

@@ -357,6 +357,41 @@ class TestCanonSolver:
             assert solve_via_canon(struct, phi) == qcsp_eval(struct, phi)
 
 
+class TestCanonWithoutMaterialization:
+    # the three fixed clause sets of the benchmark's canon workload
+    FIXED = [
+        (("p", "q", "r", "s", "t"),
+         (("p", "q", "r"), ("q", "r", "s"), ("r", "s", "t"), ("p", "s", "t"), ("p", "q", "t"))),
+        (("p", "q", "r", "s"),
+         (("p", "q", "r"), ("p", "q", "s"), ("p", "r", "s"), ("q", "r", "s"), ("p", "p", "q"))),
+        (("p", "q", "r", "s", "t", "w"),
+         (("p", "q", "r"), ("q", "r", "s"), ("r", "s", "t"), ("s", "t", "w"), ("p", "t", "w"),
+          ("p", "q", "w"))),
+    ]
+    # the lines of the Fano plane: not 2-colourable, so the sentence is true
+    FANO = (tuple("abcdefg"), (("a", "b", "c"), ("a", "d", "e"), ("a", "f", "g"), ("b", "d", "f"),
+                               ("b", "e", "g"), ("c", "d", "g"), ("c", "e", "f")))
+
+    def test_naesat_reductions(self, d3, ab, no_dnf_materialization):
+        rng = random.Random(67)
+        six = tuple(f"v{i}" for i in range(6))
+        ten = tuple(tuple(rng.choice(six) for _ in range(3)) for _ in range(10))
+        for variables, clauses in self.FIXED + [(six, ten), self.FANO]:
+            inst = NaeInstance(variables, clauses)
+            phi, struct = naesat_to_qcsp(inst, d3, ab)
+            assert solve_via_canon(struct, phi) == (not naesat_brute(inst))
+        assert not naesat_brute(NaeInstance(*self.FANO))
+
+    def test_tau_8_canon(self, d3, ab, no_dnf_materialization):
+        from qforge.gadgets import is_almost_existentially_trivial
+
+        tau8 = build_tau_k(d3, ab, 8, "dnf")
+        assert tau8.arity == 24
+        verdict = is_almost_existentially_trivial(Structure(d3, {"tau8": tau8}))
+        assert verdict.trivial and verdict.canon == 2
+        assert verdict.reductions[0].forcings == []
+
+
 class TestUniversalConjunction:
     def test_atomwise_identity(self, d3, rho_struct):
         phi = sentence(
