@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import catalog, classify, clone, files, gadgets, powers, qcsp
@@ -362,7 +361,7 @@ def _hash_inputs(argv) -> dict:
     return out
 
 
-def run_suite(manifest_path: str, jobs: int = 1, out_path: str | None = None) -> tuple[int, dict]:
+def run_suite(manifest_path: str, out_path: str | None = None) -> tuple[int, dict]:
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     steps = manifest.get("steps", [])
@@ -394,11 +393,7 @@ def run_suite(manifest_path: str, jobs: int = 1, out_path: str | None = None) ->
         record["status"] = status
         return record
 
-    if jobs > 1 and len(steps) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_step, steps))
-    else:
-        records = [run_step(s) for s in steps]
+    records = [run_step(s) for s in steps]
 
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -424,7 +419,7 @@ def run_suite(manifest_path: str, jobs: int = 1, out_path: str | None = None) ->
 
 
 def _cmd_suite_run(args, budgets):
-    return run_suite(args.manifest, jobs=args.jobs, out_path=args.out)
+    return run_suite(args.manifest, out_path=args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +615,6 @@ def _build_parser() -> argparse.ArgumentParser:
         _cmd_suite_run,
         lambda p: (
             p.add_argument("manifest"),
-            p.add_argument("--jobs", type=int, default=1),
             p.add_argument("--out"),
         ),
     )

@@ -1,25 +1,24 @@
 """Coordinatewise closure of tuple sets, minimal generating sets, and the
 switching/collapsing adversary probes.
 
-The closure engine mixes two strategies.  Operations of arity <= 2 are swept
-forward semi-naively: members already closed under them are never combined
-again, and each new pair is combined once, when the later of its two members
-leaves the worklist.  Higher-arity operations are first applied to random
-argument rows; once that stalls, each missing tuple gets a *derivability
-search*: pick, for every coordinate j, a preimage column of the target value
-t_j, such that the rows assembled from those columns are all members of the
-current set.  Coordinates are processed smallest-preimage-first (closure
-commutes with coordinate permutation).  The search runs depth-first over a
-trie of the members whose nodes are merged by suffix set, remembers the
-(depth, nodes) states it has seen fail, and stops at the first witness, so a
-round that certifies "nothing new is derivable" is exact without enumerating
-|S|**arity argument combinations.
+The closure engine alternates two exact steps until neither adds a tuple.
+Operations of arity <= 2 are swept forward semi-naively: members already
+closed under them are never combined again, and each new pair is combined
+once, when the later of its two members leaves the worklist.  Then one
+search round gives each missing tuple, for each higher-arity operation, a
+*derivability search*: pick, for every coordinate j, a preimage column of
+the target value t_j, such that the rows assembled from those columns are
+all members of the current set.  Coordinates are processed
+smallest-preimage-first (closure commutes with coordinate permutation).  The
+search runs depth-first over a trie of the members whose nodes are merged by
+suffix set, remembers the (depth, nodes) states it has seen fail, and stops
+at the first witness, so a round that certifies "nothing new is derivable"
+is exact without enumerating |S|**arity argument combinations.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from operator import getitem
 from typing import Iterable, Optional, Sequence
@@ -30,9 +29,10 @@ from .model import Algebra, Domain, OpTable, Structure
 
 @dataclass
 class PowersBudget:
-    """Caps for closure work: ambient space cells and derivability tests."""
+    """Caps for closure work: cells stored or walked, and derivability tests."""
 
-    max_cells: int = 4_000_000  # m * size**m guard
+    # m * |S| while sweeping; m * size**m before a search round walks the power
+    max_cells: int = 4_000_000
     max_nodes: int = 80_000_000  # (alive entry, column) tests per closure call
 
 
@@ -241,7 +241,15 @@ def power_closure(
     budget: Optional[PowersBudget] = None,
 ) -> frozenset:
     """Least superset of seed closed under every basic operation applied
-    coordinatewise (equivalently, under all term operations)."""
+    coordinatewise (equivalently, under all term operations).
+
+    Alternates the forward sweep of the operations of arity <= 2 with one
+    exact search round over every missing m-tuple for the higher-arity ones,
+    until a round adds nothing.  ``budget.max_cells`` bounds the cells the
+    closure stores (m * |S|, checked by the sweep) and, before each search
+    round, the cells that round walks (m * size**m); a binary-only algebra
+    never walks the power.
+    """
     budget = budget or PowersBudget()
     seed = [tuple(t) for t in seed]
     if not seed:
@@ -253,9 +261,6 @@ def power_closure(
             raise ValidationError("seed tuples must share one length")
         for v in t:
             algebra.domain.check_element(v)
-    if m * size**m > budget.max_cells:
-        raise BudgetError(f"ambient space m*size**m = {m * size ** m} over budget")
-
     full_count = size**m
     S = set(seed)
     small = [op for op in algebra.ops.values() if op.arity <= 2]
@@ -283,6 +288,8 @@ def power_closure(
         done = [u for u in S if u not in frontier]
         work = list(frontier)
         while work:
+            if m * len(S) > budget.max_cells:
+                raise BudgetError(f"closure stores m*|S| = {m * len(S)} cells, over budget")
             u = work.pop()
             done.append(u)
             new = [tuple([table[a] for a in u]) for table in unary]
@@ -306,49 +313,14 @@ def power_closure(
             pre[v].append(args)
         preimages_by_op.append(pre)
 
-    rng = random.Random(0x51ED)
-
-    def sample_big_ops() -> set:
-        """Cheap randomized forward applications of the high-arity operations.
-
-        Only ever adds derivable tuples, so the least fixpoint is unaffected;
-        this just reaches it with far fewer exact derivability searches.
-        """
-        added = set()
-        while True:
-            members = sorted(S)
-            before = len(S)
-            for op in big:
-                k, table = op.arity, op.table
-                for _ in range(200 + 20 * len(members)):
-                    combo = [rng.choice(members) for _ in range(k)]
-                    image = []
-                    for j in range(m):
-                        code = 0
-                        for u in combo:
-                            code = code * size + u[j]
-                        image.append(table[code])
-                    w = tuple(image)
-                    if w not in S:
-                        S.add(w)
-                        added.add(w)
-                        if len(S) == full_count:
-                            return added
-            if len(S) == before:
-                return added
-
     counter = [0]
     frontier = set(S)
     while True:
         forward_sweep(frontier)
         if len(S) == full_count or not big:
             return frozenset(S)
-        sampled = sample_big_ops()
-        if len(S) == full_count:
-            return frozenset(S)
-        if sampled:
-            frontier = sampled
-            continue
+        if m * full_count > budget.max_cells:
+            raise BudgetError(f"search round walks m*size**m = {m * full_count} cells, over budget")
         members = sorted(S)
         searches: dict[tuple, _DeriveSearch] = {}
         added = set()

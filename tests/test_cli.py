@@ -171,12 +171,20 @@ class TestDispatch:
         assert report["preserves_sigma"] is True
         assert files.load_algebra(str(out)).ops["nu"].arity == 4
 
-    def test_powers_budget_verdicts_exit_two(self):
+    def test_powers_budget_verdicts_exit_two(self, monkeypatch):
+        monkeypatch.setenv("QFORGE_BUDGET", "nodes=50")
         code, report = cli_dispatch(
-            ["powers", "switchable", sample("semilattice.alg"), "--k", "1", "--budget-m", "13"]
+            ["powers", "switchable", sample("switchable.alg"), "--k", "2", "--budget-m", "4"]
         )
         assert code == EXIT_INCONCLUSIVE
-        assert report["generates"]["13"] == "budget"
+        assert report["generates"]["4"] == "budget"
+
+    def test_powers_binary_only_decided_at_large_m(self):
+        code, report = cli_dispatch(
+            ["powers", "switchable", sample("semilattice.alg"), "--k", "1", "--budget-m", "14"]
+        )
+        assert code == EXIT_DECIDED
+        assert [report["generates"][str(m)] for m in (12, 13, 14)] == [False] * 3
 
     def test_env_budget_override(self, monkeypatch):
         monkeypatch.setenv("QFORGE_BUDGET", "depth=1,nodes=123")
@@ -269,7 +277,3 @@ class TestSuite:
         run_suite(str(path), out_path=str(a))
         run_suite(str(path), out_path=str(b))
         assert scrubbed(a) == scrubbed(b)
-
-    def test_parallel_jobs(self, tmp_path):
-        code, summary = run_suite(sample("suite.json"), jobs=4)
-        assert code == EXIT_DECIDED

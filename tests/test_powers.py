@@ -184,8 +184,18 @@ class TestPowerClosure:
             power_closure(semilattice, [])
 
     def test_space_budget(self, semilattice):
+        # the 81 tuples of the 1-switch seed at m = 14 store 1134 cells
+        seed = build_switch_adversary(semilattice.domain, 14, 1).tuples
         with pytest.raises(BudgetError):
-            power_closure(semilattice, [(0,) * 14], PowersBudget(max_cells=1000))
+            power_closure(semilattice, seed, PowersBudget(max_cells=1000))
+
+    def test_binary_only_closure_never_walks_the_power(self, semilattice):
+        # m * 3**m cells exceed the default cap, but a binary-only closure
+        # stores only a few hundred tuples and never walks the power
+        for m in (12, 14):
+            seed = build_switch_adversary(semilattice.domain, m, 1).tuples
+            assert m * 3**m > PowersBudget().max_cells
+            assert power_closure(semilattice, seed) == naive_closure(semilattice, seed)
 
     @given(
         seed=st.integers(1, 6).flatmap(
@@ -213,6 +223,23 @@ def _quaternary_ops():
         "f_hat_a_2": build_f_hat_a_n(2),
         "f_hat_b_2": build_f_hat_b_n(2),
     }
+
+
+@pytest.mark.parametrize("with_s", [False, True])
+@pytest.mark.parametrize("name", ["r", "f_a_3", "f_b_3", "f_hat_a_2", "f_hat_b_2"])
+def test_exact_closure_matches_naive_oracle(name, with_s):
+    op = _quaternary_ops()[name]
+    ops = {name: op, "s": semilattice_s()} if with_s else {name: op}
+    algebra = Algebra(op.domain, ops)
+    rng = random.Random(f"closure-{name}-{with_s}")
+    for _ in range(12):
+        m = rng.randint(1, 3)
+        alphabet = (0, 1) if rng.random() < 0.5 else (0, 1, 2)
+        seed = {
+            tuple(rng.choice(alphabet) for _ in range(m))
+            for _ in range(rng.randint(1, 6))
+        }
+        assert power_closure(algebra, seed) == naive_closure(algebra, seed)
 
 
 class TestDerivabilitySearch:
